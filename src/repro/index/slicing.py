@@ -29,6 +29,14 @@ __all__ = ["SliceBatch", "SliceSampler"]
 _MAX_MASK_CELLS = 1 << 24
 
 
+def _offset_types(n_objects: int) -> Tuple[type, type]:
+    """Narrowest signed/unsigned integer pair for rank offsets of ``n`` objects."""
+    for signed, unsigned in ((np.int16, np.uint16), (np.int32, np.uint32)):
+        if n_objects <= np.iinfo(signed).max:
+            return signed, unsigned
+    return np.int64, np.uint64
+
+
 @dataclass(frozen=True)
 class SliceBatch:
     """All Monte Carlo slices of one subspace, drawn and evaluated in one shot.
@@ -372,19 +380,30 @@ class SliceSampler:
         n_rows = start_ranks.shape[0]
         chunk = max(1, min(n_rows, _MAX_MASK_CELLS // max(1, n_objects)))
         out = np.empty((n_rows, n_objects), dtype=bool)
-        columns = {int(a): self.index.rank_column(a)[obj_lo:obj_hi] for a in attrs}
+        # ``start <= rank < start + block`` as one unsigned compare:
+        # ``rank - start`` wraps to a huge unsigned value when rank < start.
+        # An unconditioned (test-attribute) cell, start == -1, becomes the
+        # interval [0, n), which every rank falls into.  Ranks, starts and
+        # offsets all lie in (-n, n), so the narrowest integer type that
+        # holds n gives the same answers with less memory traffic.
+        signed, unsigned = _offset_types(n)
+        columns = {
+            int(a): self.index.rank_column(a)[obj_lo:obj_hi].astype(signed) for a in attrs
+        }
+        conditioned = start_ranks >= 0
+        lowers = np.where(conditioned, start_ranks, 0).astype(signed)
+        widths = np.where(conditioned, block, n).astype(unsigned)
         for lo in range(0, n_rows, chunk):
             hi = min(n_rows, lo + chunk)
-            sel = np.ones((hi - lo, n_objects), dtype=bool)
+            sel = out[lo:hi]
+            offsets = np.empty((hi - lo, n_objects), dtype=signed)
+            inside = np.empty((hi - lo, n_objects), dtype=bool)
             for j, attribute in enumerate(attrs):
-                starts = start_ranks[lo:hi, j, None]
-                column = columns[int(attribute)][None, :]
-                inside = (column >= starts) & (column < starts + block)
-                # Unconditioned (test-attribute) rows have start == -1; their
-                # interval test is replaced by all-True.
-                np.logical_or(inside, starts < 0, out=inside)
-                sel &= inside
-            out[lo:hi] = sel
+                np.subtract(columns[int(attribute)], lowers[lo:hi, j, None], out=offsets)
+                target = sel if j == 0 else inside
+                np.less(offsets.view(unsigned), widths[lo:hi, j, None], out=target)
+                if j > 0:
+                    sel &= inside
         return out
 
     def evaluate_masks_range(

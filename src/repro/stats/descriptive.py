@@ -6,7 +6,7 @@ sample (mean and variance) and compares the samples through those moments.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,32 +70,102 @@ def sample_moments(values: np.ndarray) -> Tuple[float, float, int]:
     return mean, variance, n
 
 
-def sample_moments_batch(
-    samples: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(means, variances, sizes)`` arrays for a sequence of 1-D samples.
+#: Below this many samples :func:`sample_moments_batch` reduces each sample
+#: on its own; at or above it, samples of equal length are stacked into 2-D
+#: blocks and reduced one block at a time.  Grouping pays one argsort and a
+#: handful of whole-array passes up front, which a few dozen per-sample
+#: reductions (one subspace's Monte Carlo iterations) do not win back.
+_GROUPED_MIN_SAMPLES = 256
 
-    The batched hot-path counterpart of :func:`sample_moments`: finiteness
-    validation is skipped (callers pass slices of an already-validated data
-    matrix) and mean/variance are evaluated through ``np.add.reduce`` — the
-    same pairwise summation kernel ``np.mean`` / ``np.var`` use internally, so
-    the results are bit-for-bit identical to calling :func:`sample_moments`
-    per sample (the property-based suite asserts this).
+
+def sample_moments_batch(
+    samples: Union[np.ndarray, Sequence[np.ndarray]],
+    counts: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(means, variances, sizes)`` arrays for many 1-D samples.
+
+    The batched hot-path counterpart of :func:`sample_moments`.  ``samples``
+    is either a sequence of 1-D arrays or, with ``counts``, one flat array
+    holding the samples back to back (``counts[i]`` values each).
+    Finiteness validation is skipped (callers pass slices of an
+    already-validated data matrix).
+
+    Every mean and variance is bit-for-bit what :func:`sample_moments`
+    returns for the same sample (the property suite asserts this): sums go
+    through ``np.add.reduce``, the pairwise summation ``np.mean`` and
+    ``np.var`` use.  Many samples are grouped by length and each group is
+    reduced as a C-contiguous ``(k, L)`` block along its rows, which runs the
+    same pairwise kernel over each row.  ``np.add.reduceat`` is not used: its
+    segment sums are sequential, not pairwise.
     """
-    n_samples = len(samples)
-    means = np.empty(n_samples, dtype=float)
-    variances = np.empty(n_samples, dtype=float)
-    sizes = np.empty(n_samples, dtype=np.intp)
-    for i, sample in enumerate(samples):
-        n = sample.size
-        if n == 0:
-            raise DataError("sample must not be empty")
+    if counts is None:
+        pieces = [np.asarray(sample, dtype=float).ravel() for sample in samples]
+        counts = np.array([piece.size for piece in pieces], dtype=np.intp)
+        values = np.concatenate(pieces) if pieces else np.empty(0, dtype=float)
+    else:
+        values = np.asarray(samples, dtype=float)
+        counts = np.asarray(counts, dtype=np.intp)
+    if counts.size and counts.min() <= 0:
+        raise DataError("sample must not be empty")
+    if counts.size < _GROUPED_MIN_SAMPLES:
+        means, variances = _moments_per_sample(values, counts)
+    else:
+        means, variances = _moments_grouped(values, counts)
+    return means, variances, counts.copy()
+
+
+def _moments_per_sample(
+    values: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    means = np.empty(counts.size, dtype=float)
+    variances = np.zeros(counts.size, dtype=float)
+    start = 0
+    for i, n in enumerate(counts.tolist()):
+        sample = values[start : start + n]
+        start += n
         mean = np.add.reduce(sample) / n
         means[i] = mean
-        sizes[i] = n
         if n > 1:
             centred = sample - mean
             variances[i] = np.add.reduce(centred * centred) / (n - 1)
-        else:
-            variances[i] = 0.0
-    return means, variances, sizes
+    return means, variances
+
+
+def _moments_grouped(
+    values: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    order = None
+    if np.any(counts[1:] < counts[:-1]):
+        # Bring samples of equal length next to each other (stable, so equal
+        # lengths keep their order); callers that pass length-sorted samples
+        # skip this gather.
+        order = np.argsort(counts, kind="stable")
+        starts = np.cumsum(counts) - counts
+        counts = counts[order]
+        sorted_starts = np.cumsum(counts) - counts
+        shift = np.repeat(starts[order] - sorted_starts, counts)
+        values = values[shift + np.arange(values.size)]
+    starts = np.cumsum(counts) - counts
+    edges = np.flatnonzero(counts[1:] != counts[:-1]) + 1
+    groups = list(zip([0] + edges.tolist(), edges.tolist() + [counts.size]))
+
+    def row_sums(array: np.ndarray) -> np.ndarray:
+        sums = np.empty(counts.size, dtype=float)
+        for lo, hi in groups:
+            length = int(counts[lo])
+            begin = int(starts[lo])
+            block = array[begin : begin + (hi - lo) * length].reshape(hi - lo, length)
+            np.add.reduce(block, axis=1, out=sums[lo:hi])
+        return sums
+
+    means = row_sums(values) / counts
+    centred = np.repeat(means, counts)
+    np.subtract(values, centred, out=centred)
+    centred *= centred
+    squares = row_sums(centred)
+    multi = counts > 1
+    variances = np.zeros(counts.size, dtype=float)
+    variances[multi] = squares[multi] / (counts[multi] - 1)
+    if order is not None:
+        means[order], variances[order] = means.copy(), variances.copy()
+    return means, variances

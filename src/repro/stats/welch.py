@@ -15,6 +15,7 @@ the Welch-Satterthwaite equation.  The deviation value used by HiCS is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -69,6 +70,22 @@ def welch_t_statistic(
     return float(diff / np.sqrt(se2))
 
 
+def _common_power_of_two_scale(term_a: float, term_b: float) -> Tuple[float, float]:
+    """Both terms divided by ``2**e``, the power of two that brings the larger
+    into ``[0.5, 1)``.
+
+    The degrees of freedom are a ratio of squares of these terms, so a
+    common factor cancels, and a power of two cancels *exactly*: scaling by
+    it commutes with rounding.  Unscaled, the squares underflow to zero or
+    overflow to infinity once a term passes about ``1e±154`` (data scaled by
+    about ``1e±77``), and the degrees of freedom collapse to the fallback or
+    turn NaN.  Wherever the unscaled formula stayed in range the result is
+    bit-for-bit unchanged.
+    """
+    _, exponent = math.frexp(max(term_a, term_b))
+    return math.ldexp(term_a, -exponent), math.ldexp(term_b, -exponent)
+
+
 def welch_satterthwaite_df(var_a: float, n_a: int, var_b: float, n_b: int) -> float:
     """Welch-Satterthwaite approximation of the degrees of freedom.
 
@@ -77,8 +94,7 @@ def welch_satterthwaite_df(var_a: float, n_a: int, var_b: float, n_b: int) -> fl
     """
     if n_a < 2 and n_b < 2:
         return 1.0
-    term_a = var_a / n_a
-    term_b = var_b / n_b
+    term_a, term_b = _common_power_of_two_scale(var_a / n_a, var_b / n_b)
     # Squares via explicit multiplication: libm pow(x, 2.0) can differ from
     # x*x in the last ulp, and the batched implementation must be able to
     # reproduce this function bit-for-bit with array arithmetic.
@@ -131,8 +147,12 @@ def welch_satterthwaite_df_batch(var_a, n_a, var_b, n_b) -> np.ndarray:
     var_b = np.asarray(var_b, dtype=float)
     n_a = np.asarray(n_a, dtype=float)
     n_b = np.asarray(n_b, dtype=float)
+    # The same exact power-of-two rescaling as the scalar routine.
     term_a = var_a / n_a
     term_b = var_b / n_b
+    _, exponent = np.frexp(np.maximum(term_a, term_b))
+    term_a = np.ldexp(term_a, -exponent)
+    term_b = np.ldexp(term_b, -exponent)
     numerator = (term_a + term_b) * (term_a + term_b)
     denominator = np.zeros(numerator.shape, dtype=float)
     a_multi = n_a > 1

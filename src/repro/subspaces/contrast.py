@@ -19,11 +19,12 @@ Two execution engines share one slice-drawing protocol
 
 ``"batch"`` (default)
     The vectorised hot path: all ``M`` selection masks are evaluated against
-    the precomputed rank matrix at once, the conditional samples are gathered
-    with a single ``nonzero``/``split`` pass, and the deviations of all
-    iterations are computed through the array-level statistics
-    (:func:`~repro.stats.deviation.welch_deviation_batch`,
-    :func:`~repro.stats.deviation.ks_deviation_batch`).
+    the precomputed rank matrix at once, and the deviations of all
+    iterations are computed through the array-level statistics.  For the
+    Welch deviation a whole candidate level goes through one kernel: the
+    slice batches of many subspaces are stacked, their conditional samples
+    gathered with one ``flatnonzero`` per chunk, and moments, ``t``, ``df``
+    and p-values computed with one call per chunk (p-values: per level).
 
 ``"scalar"``
     The reference implementation: per-iteration boolean masks built condition
@@ -46,9 +47,10 @@ per level.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from ..parallel import (
     ExecutionBackend,
     WorkerContext,
     check_backend_spec,
+    default_chunksize,
     resolve_backend,
     resolve_n_jobs,
 )
@@ -83,6 +86,11 @@ __all__ = ["ContrastCache", "ContrastEstimator"]
 logger = logging.getLogger(__name__)
 
 _ENGINES = ("batch", "scalar")
+
+#: Upper bound on the conditional-sample values (summed over the slices of
+#: the subspaces in one chunk) the level kernel gathers and reduces at once;
+#: larger levels are scored chunk by chunk to keep peak memory flat.
+_MAX_SAMPLE_CELLS = 1 << 19
 
 
 class ContrastCache:
@@ -514,8 +522,10 @@ class ContrastEstimator:
         )
 
     def _evaluate(self, subspace: Subspace) -> ContrastResult:
-        if self.subsample_size is not None and self.subsample_size < self.n_objects:
+        if self._subsampled:
             return self._evaluate_subsampled(subspace)
+        if self.engine == "batch" and self.deviation is welch_deviation:
+            return self._evaluate_welch_level([subspace])[0]
         batch = self._sample_batch(subspace)
         if self.engine == "scalar":
             deviations = self._deviations_scalar(batch)
@@ -529,6 +539,22 @@ class ContrastEstimator:
             n_iterations=self.n_iterations,
             n_degenerate=batch.n_degenerate,
         )
+
+    def _evaluate_many(self, subspaces: Sequence[Subspace]) -> List[ContrastResult]:
+        """Uncached results of validated subspaces, in input order."""
+        if not subspaces:
+            return []
+        if (
+            self.engine == "batch"
+            and self.deviation is welch_deviation
+            and not self._subsampled
+        ):
+            return self._evaluate_welch_level(subspaces)
+        return [self._evaluate(s) for s in subspaces]
+
+    @property
+    def _subsampled(self) -> bool:
+        return self.subsample_size is not None and self.subsample_size < self.n_objects
 
     def _evaluate_subsampled(self, subspace: Subspace) -> ContrastResult:
         """Seeded-subsample estimate: Monte Carlo over ``m`` deterministic rows.
@@ -599,17 +625,15 @@ class ContrastEstimator:
         self, test_attributes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Per-row marginal moments, computed once per attribute and cached."""
-        mean_b = np.empty(test_attributes.shape[0], dtype=float)
-        var_b = np.empty(test_attributes.shape[0], dtype=float)
-        for attribute in np.unique(test_attributes):
-            moments = self._marginal_moments.get(int(attribute))
+        attributes, inverse = np.unique(test_attributes, return_inverse=True)
+        table = np.empty((attributes.size, 2), dtype=float)
+        for row, attribute in enumerate(attributes.tolist()):
+            moments = self._marginal_moments.get(attribute)
             if moments is None:
-                moments = sample_moments(self.index.values(int(attribute)))
-                self._marginal_moments[int(attribute)] = moments
-            rows = test_attributes == attribute
-            mean_b[rows] = moments[0]
-            var_b[rows] = moments[1]
-        return mean_b, var_b, self.n_objects
+                moments = sample_moments(self.index.values(attribute))
+                self._marginal_moments[attribute] = moments
+            table[row] = moments[:2]
+        return table[inverse, 0], table[inverse, 1], self.n_objects
 
     def _marginal_ks_tables(
         self, attribute: int
@@ -624,47 +648,138 @@ class ContrastEstimator:
             self._marginal_cdf[attribute] = tables
         return tables
 
-    def _gather_samples(
-        self, batch: SliceBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        """Compact per-iteration conditional samples of the valid iterations."""
-        valid = np.flatnonzero(~batch.degenerate)
-        selected = batch.selected[valid]
-        test_attributes = batch.test_attributes[valid]
-        counts = batch.counts[valid]
-        row_idx, obj_idx = np.nonzero(selected)
-        # np.nonzero is row-major, so each row's objects come out in ascending
-        # index order — the same order as boolean-mask extraction in the
-        # scalar engine, which keeps the sample means bit-identical.
-        flat_values = self.index.data[obj_idx, test_attributes[row_idx]]
-        samples = np.split(flat_values, np.cumsum(counts)[:-1])
-        return valid, selected, test_attributes, counts, samples
+    def _gather_values(
+        self, selected: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Test-attribute values of the selected objects, row after row.
+
+        Within a row the objects come in ascending index order — the order of
+        boolean-mask extraction in the scalar engine, which keeps the sample
+        moments bit-identical.  One ``flatnonzero`` over the whole matrix
+        replaces a per-row (or 2-D ``nonzero``) pass.
+        """
+        n_rows, n = selected.shape
+        data = self.index.data  # C-contiguous (check_data_matrix)
+        d = data.shape[1]
+        # Object o of row r sits at flat position r*n + o of the mask and at
+        # o*d + attribute of the row-major data matrix.
+        flat = np.flatnonzero(selected)
+        flat *= d
+        flat += np.repeat(test_attributes - np.arange(n_rows) * (n * d), counts)
+        return np.take(data.reshape(-1), flat)
 
     def _welch_t_df(
-        self, test_attributes: np.ndarray, samples: List[np.ndarray]
+        self, batches: Sequence[SliceBatch]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Welch statistic and degrees of freedom of many conditional samples."""
-        means, variances, sizes = sample_moments_batch(samples)
+        """Welch statistic and degrees of freedom of every valid iteration.
+
+        The Welch kernel of both the single-subspace and the level path: the
+        valid iterations of all ``batches`` are stacked, gathered in one
+        pass, and their moments, ``t`` and ``df`` are computed with one call
+        each.  Rows are ordered by conditional-sample size first so the
+        moments kernel finds equal-length samples side by side; the outputs
+        come back in batch and iteration order.
+        """
+        selected_parts, attribute_parts, count_parts = [], [], []
+        for batch in batches:
+            if batch.degenerate.any():
+                valid = ~batch.degenerate
+                selected_parts.append(batch.selected[valid])
+                attribute_parts.append(batch.test_attributes[valid])
+                count_parts.append(batch.counts[valid])
+            else:
+                selected_parts.append(batch.selected)
+                attribute_parts.append(batch.test_attributes)
+                count_parts.append(batch.counts)
+        counts = np.concatenate(count_parts)
+        if counts.size == 0:
+            return np.empty(0, dtype=float), np.empty(0, dtype=float)
+        test_attributes = np.concatenate(attribute_parts)
+        selected = (
+            selected_parts[0]
+            if len(selected_parts) == 1
+            else np.concatenate(selected_parts)
+        )
+        order = None
+        if np.any(counts[1:] < counts[:-1]):
+            order = np.argsort(counts, kind="stable")
+            selected = selected[order]
+            test_attributes = test_attributes[order]
+            counts = counts[order]
+        values = self._gather_values(selected, test_attributes, counts)
+        means, variances, sizes = sample_moments_batch(values, counts)
         mean_b, var_b, n_b = self._marginal_moment_arrays(test_attributes)
         t = welch_t_statistic_batch(means, variances, sizes, mean_b, var_b, n_b)
         df = welch_satterthwaite_df_batch(variances, sizes, var_b, n_b)
+        if order is not None:
+            t[order], df[order] = t.copy(), df.copy()
         return t, df
+
+    def _evaluate_welch_level(
+        self, subspaces: Sequence[Subspace]
+    ) -> List[ContrastResult]:
+        """Welch contrasts of many subspaces through one chunked kernel.
+
+        Each subspace still draws its own :class:`SliceBatch` from its own
+        seeded generator, so the random stream and the retry rounds are those
+        of a lone evaluation.  The batches are then scored in chunks of at
+        most about :data:`_MAX_SAMPLE_CELLS` conditional-sample values by
+        :meth:`_welch_t_df`, and the p-values of the whole level come from a
+        single :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch`
+        call.  Every step is element-wise or per sample, so the results are
+        bit-for-bit those of per-subspace evaluation.
+        """
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        shapes: List[Tuple[int, int]] = []
+        chunk: List[SliceBatch] = []
+        cells = 0
+        for subspace in subspaces:
+            batch = self._sample_batch(subspace)
+            n_degenerate = batch.n_degenerate
+            shapes.append((batch.n_slices - n_degenerate, n_degenerate))
+            chunk.append(batch)
+            cells += int(batch.counts.sum())
+            if cells >= _MAX_SAMPLE_CELLS:
+                parts.append(self._welch_t_df(chunk))
+                chunk, cells = [], 0
+        if chunk:
+            parts.append(self._welch_t_df(chunk))
+        pvalues = student_t_two_tailed_pvalue_batch(
+            np.concatenate([t for t, _ in parts]),
+            np.concatenate([df for _, df in parts]),
+        )
+        deviations = np.clip(1.0 - pvalues, 0.0, 1.0)
+        results: List[ContrastResult] = []
+        offset = 0
+        for subspace, (n_valid, n_degenerate) in zip(subspaces, shapes):
+            values = deviations[offset : offset + n_valid]
+            offset += n_valid
+            results.append(
+                ContrastResult(
+                    subspace=subspace,
+                    contrast=float(np.mean(values)) if n_valid else 0.0,
+                    deviations=tuple(values.tolist()),
+                    n_iterations=self.n_iterations,
+                    n_degenerate=n_degenerate,
+                )
+            )
+        return results
 
     def _deviations_batch(self, batch: SliceBatch) -> np.ndarray:
         """Vectorised engine: one gather pass plus array-level statistics."""
-        valid, selected, test_attributes, counts, samples = self._gather_samples(batch)
-        if valid.size == 0:
+        valid = ~batch.degenerate
+        selected = batch.selected[valid]
+        test_attributes = batch.test_attributes[valid]
+        counts = batch.counts[valid]
+        if counts.size == 0:
             return np.empty(0, dtype=float)
 
-        # The paper's two instantiations get fully grouped fast paths that
-        # exploit what the engine knows (one shared reference population whose
-        # moments / sorted order are cached, conditional samples that are
-        # sub-multisets of the marginal).  Both remain bit-for-bit equal to
-        # the scalar deviations; the golden-equivalence suite pins this.
-        if self.deviation is welch_deviation:
-            t, df = self._welch_t_df(test_attributes, samples)
-            pvalues = student_t_two_tailed_pvalue_batch(t, df)
-            return np.clip(1.0 - pvalues, 0.0, 1.0)
+        # The Welch instantiation runs through :meth:`_welch_t_df` (see
+        # :meth:`_evaluate`).  KS gets a grouped fast path that exploits what
+        # the engine knows (one shared reference population whose sorted
+        # order is cached, conditional samples that are sub-multisets of the
+        # marginal); it stays bit-for-bit equal to the scalar deviations, and
+        # the golden-equivalence suite pins this.
         if self.deviation is ks_deviation:
             # KS in the rank domain: the conditional ECDF evaluated at the
             # marginal points is a cumulative count of selected objects along
@@ -673,7 +788,7 @@ class ContrastEstimator:
             # one row-max per iteration group — no per-sample sort or search.
             # Counts are integers, so the resulting quotients are bitwise the
             # same floats the scalar searchsorted formulation produces.
-            deviations = np.empty(valid.size, dtype=float)
+            deviations = np.empty(counts.size, dtype=float)
             for attribute in np.unique(test_attributes):
                 rows = np.flatnonzero(test_attributes == attribute)
                 order, tie_end, ref_cdf = self._marginal_ks_tables(int(attribute))
@@ -681,7 +796,9 @@ class ContrastEstimator:
                 cdf_rows = cum[:, tie_end] / counts[rows][:, None]
                 deviations[rows] = np.max(np.abs(cdf_rows - ref_cdf), axis=1)
             return deviations
-        deviations = np.empty(valid.size, dtype=float)
+        values = self._gather_values(selected, test_attributes, counts)
+        samples = np.split(values, np.cumsum(counts)[:-1])
+        deviations = np.empty(counts.size, dtype=float)
         for attribute in np.unique(test_attributes):
             rows = np.flatnonzero(test_attributes == attribute)
             attr_index = self.index.attribute_index(int(attribute))
@@ -713,49 +830,8 @@ class ContrastEstimator:
         """
         subspace_list = list(subspaces)
         exec_backend = self._resolve_exec_backend(backend, n_jobs)
-        # With row sharding enabled, parallelism moves *inside* each
-        # subspace's mask evaluation (shard fan-out), so the per-subspace
-        # fan-out is skipped — both routes are bit-for-bit identical.
-        if (
-            exec_backend is not None
-            and len(subspace_list) >= 2
-            and self.n_shards == 1
-        ):
-            return self._contrast_many_backend(subspace_list, exec_backend)
-        if (
-            self.engine == "batch"
-            and self.deviation is welch_deviation
-            and len(subspace_list) >= 2
-            # The level-batched Welch path assembles slice batches over the
-            # full database; subsampled estimates evaluate per subspace.
-            and self.subsample_size is None
-        ):
-            return self._contrast_many_level(subspace_list)
-        return {s: self.contrast(s) for s in subspace_list}
-
-    def contrast_many_detailed(
-        self, subspaces: Iterable[Subspace]
-    ) -> Dict[Subspace, ContrastResult]:
-        """Like :meth:`contrast_many` but with full per-subspace results."""
-        return {s: self.contrast_detailed(s) for s in subspaces}
-
-    def _contrast_many_level(
-        self, subspace_list: List[Subspace]
-    ) -> Dict[Subspace, float]:
-        """Score a whole candidate level with one shared p-value evaluation.
-
-        The Welch deviation spends most of its time in the incomplete-beta
-        continued fraction; its per-iteration cost is dominated by array-call
-        overhead, not arithmetic.  Stacking the ``t``/``df`` pairs of *all*
-        candidate subspaces into a single
-        :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch` call
-        amortises that overhead across the level.  The p-values are computed
-        element-wise, so the grouping changes nothing — results stay
-        bit-for-bit identical to per-subspace evaluation (and are cached under
-        the same keys).
-        """
         results: Dict[Subspace, float] = {}
-        pending: List[Subspace] = []
+        pending: Dict[Subspace, None] = {}
         for subspace in subspace_list:
             if subspace.dimensionality < 2:
                 raise SubspaceError(
@@ -770,39 +846,25 @@ class ContrastEstimator:
             if cached is not None:
                 results[subspace] = cached.contrast
             else:
-                pending.append(subspace)
-
-        stats_parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        degenerate_counts: List[int] = []
-        for subspace in pending:
-            batch = self._sample_batch(subspace)
-            _, _, test_attributes, _, samples = self._gather_samples(batch)
-            stats_parts.append(self._welch_t_df(test_attributes, samples))
-            degenerate_counts.append(batch.n_degenerate)
-
-        if pending:
-            lengths = [t.shape[0] for t, _ in stats_parts]
-            pvalues = student_t_two_tailed_pvalue_batch(
-                np.concatenate([t for t, _ in stats_parts]),
-                np.concatenate([df for _, df in stats_parts]),
-            )
-            offsets = np.cumsum([0] + lengths)
-            for i, subspace in enumerate(pending):
-                deviations = np.clip(
-                    1.0 - pvalues[offsets[i] : offsets[i + 1]], 0.0, 1.0
-                )
-                contrast_value = float(np.mean(deviations)) if deviations.size else 0.0
-                result = ContrastResult(
-                    subspace=subspace,
-                    contrast=contrast_value,
-                    deviations=tuple(float(v) for v in deviations),
-                    n_iterations=self.n_iterations,
-                    n_degenerate=degenerate_counts[i],
-                )
-                if self.cache is not None:
-                    self.cache.put(self._cache_key(subspace), result)
-                results[subspace] = result.contrast
+                pending[subspace] = None
+        # With row sharding enabled, parallelism moves *inside* each
+        # subspace's mask evaluation (shard fan-out), so the per-subspace
+        # fan-out is skipped — both routes are bit-for-bit identical.
+        if exec_backend is not None and len(pending) >= 2 and self.n_shards == 1:
+            evaluated = self._evaluate_on_backend(list(pending), exec_backend)
+        else:
+            evaluated = self._evaluate_many(list(pending))
+        for result in evaluated:
+            if self.cache is not None:
+                self.cache.put(self._cache_key(result.subspace), result)
+            results[result.subspace] = result.contrast
         return {s: results[s] for s in subspace_list}
+
+    def contrast_many_detailed(
+        self, subspaces: Iterable[Subspace]
+    ) -> Dict[Subspace, ContrastResult]:
+        """Like :meth:`contrast_many` but with full per-subspace results."""
+        return {s: self.contrast_detailed(s) for s in subspaces}
 
     # --------------------------------------------------------- backend fan-out
 
@@ -879,43 +941,32 @@ class ContrastEstimator:
             )
         return self._worker_context
 
-    def _contrast_many_backend(
-        self, subspace_list: List[Subspace], backend: ExecutionBackend
-    ) -> Dict[Subspace, float]:
-        results: Dict[Subspace, float] = {}
-        pending: List[Subspace] = []
-        for subspace in subspace_list:
-            if subspace.dimensionality < 2:
-                raise SubspaceError(
-                    "contrast is only defined for subspaces with at least two attributes"
-                )
-            subspace.validate_against_dimensionality(self.n_dims)
-            cached = (
-                self.cache.get(self._cache_key(subspace))
-                if self.cache is not None
-                else None
-            )
-            if cached is not None:
-                results[subspace] = cached.contrast
-            else:
-                pending.append(subspace)
-        if not pending:
-            return {s: results[s] for s in subspace_list}
-
-        # Per-subspace slice sampling costs one rank-block comparison per
-        # attribute, so the chunk heuristic scales with the (mean) level
-        # dimensionality: higher levels get smaller chunks.
+    def _evaluate_on_backend(
+        self, pending: List[Subspace], backend: ExecutionBackend
+    ) -> List[ContrastResult]:
+        # Each task is a chunk of subspaces that the worker scores with the
+        # same kernel as the serial path.  Per-subspace slice sampling costs
+        # one rank-block comparison per attribute, so the chunk size scales
+        # with the (mean) level dimensionality: higher levels get smaller
+        # chunks.  A chunk size pinned on the backend counts subspaces.
         cost_hint = max(
             1.0, float(np.mean([s.dimensionality for s in pending])) - 1.0
         )
+        size = getattr(backend, "chunksize", None) or default_chunksize(
+            len(pending), getattr(backend, "n_jobs", 1), cost_hint
+        )
+        chunks = [
+            tuple(s.attributes for s in pending[lo : lo + size])
+            for lo in range(0, len(pending), size)
+        ]
         payloads = backend.map(
             _contrast_worker,
-            [s.attributes for s in pending],
+            chunks,
             context=self._ensure_worker_context(),
-            cost_hint=cost_hint,
+            chunksize=1,
         )
-        for subspace, payload in zip(pending, payloads):
-            result = ContrastResult(
+        return [
+            ContrastResult(
                 subspace=subspace,
                 contrast=payload[0],
                 deviations=tuple(payload[1]),
@@ -923,10 +974,8 @@ class ContrastEstimator:
                 n_degenerate=payload[2],
                 subsample=payload[3],
             )
-            if self.cache is not None:
-                self.cache.put(self._cache_key(subspace), result)
-            results[subspace] = result.contrast
-        return {s: results[s] for s in subspace_list}
+            for subspace, payload in zip(pending, itertools.chain.from_iterable(payloads))
+        ]
 
     def close(self) -> None:
         """Release the persistent worker pool and the shared-memory plane.
@@ -1000,11 +1049,13 @@ def _setup_contrast_worker(payload: Dict[str, object], arrays: Dict[str, np.ndar
 
 
 def _contrast_worker(
-    estimator: ContrastEstimator, attributes: Tuple[int, ...]
-) -> Tuple[float, Tuple[float, ...], int, Optional[Tuple[int, int]]]:
-    """Evaluate one subspace against the worker state; picklable payload."""
-    result = estimator.contrast_detailed(Subspace(attributes))
-    return result.contrast, result.deviations, result.n_degenerate, result.subsample
+    estimator: ContrastEstimator, chunk: Tuple[Tuple[int, ...], ...]
+) -> List[Tuple[float, Tuple[float, ...], int, Optional[Tuple[int, int]]]]:
+    """Evaluate one chunk of subspaces against the worker state; picklable payload."""
+    return [
+        (result.contrast, result.deviations, result.n_degenerate, result.subsample)
+        for result in estimator._evaluate_many([Subspace(a) for a in chunk])
+    ]
 
 
 def _shard_masks_worker(

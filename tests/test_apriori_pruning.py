@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import prune_redundant_subspaces_quadratic
 
 from repro.exceptions import ParameterError, SubspaceError
 from repro.subspaces.apriori import (
@@ -14,6 +15,16 @@ from repro.subspaces.apriori import (
 )
 from repro.subspaces.pruning import prune_redundant_subspaces
 from repro.types import ScoredSubspace, Subspace
+
+_scored_lists = st.lists(
+    st.tuples(
+        st.sets(st.integers(min_value=0, max_value=7), min_size=2, max_size=6),
+        # A few distinct values, so equal scores are common.
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    ),
+    min_size=0,
+    max_size=30,
+)
 
 
 class TestTwoDimensionalStart:
@@ -167,9 +178,25 @@ class TestPruning:
             ScoredSubspace(Subspace((0, 1, 2, 3)), 0.9),
         ]
         default = prune_redundant_subspaces(scored)
-        relaxed = prune_redundant_subspaces(scored, strict_superset_dimensionality=False)
         assert {s.subspace.attributes for s in default} == {(0, 1), (0, 1, 2, 3)}
-        assert {s.subspace.attributes for s in relaxed} == {(0, 1, 2, 3)}
+
+    def test_duplicates_and_nan_scores(self):
+        scored = [
+            ScoredSubspace(Subspace((0, 1)), 0.5),
+            ScoredSubspace(Subspace((0, 1)), 0.7),
+            ScoredSubspace(Subspace((0, 1, 2)), 0.6),
+            ScoredSubspace(Subspace((0, 1, 2)), float("nan")),
+            ScoredSubspace(Subspace((1, 2)), float("nan")),
+        ]
+        kept = prune_redundant_subspaces(scored)
+        # (0, 1) at 0.5 is beaten by (0, 1, 2) at 0.6; the copy at 0.7 is not.
+        # NaN neither dominates nor is dominated.
+        assert {(s.subspace.attributes, s.score) for s in kept if s.score == s.score} == {
+            ((0, 1), 0.7),
+            ((0, 1, 2), 0.6),
+        }
+        assert len(kept) == 4
+        assert all(a is b for a, b in zip(kept, prune_redundant_subspaces_quadratic(scored)))
 
     def test_output_sorted_by_score(self):
         scored = [
@@ -213,3 +240,26 @@ class TestPruning:
                 and other.score > item.score
             ]
             assert justification, "a subspace was pruned without a dominating superset"
+
+    @given(
+        raw=_scored_lists,
+        repeats=st.lists(st.integers(min_value=0, max_value=29), max_size=6),
+        skipped_dims=st.sets(st.integers(min_value=2, max_value=6), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_oracle(self, raw, repeats, skipped_dims):
+        # Duplicated entries (also with different scores), ties, dims 2-6 and
+        # lists with whole levels missing.
+        scored = [
+            ScoredSubspace(Subspace(attrs), score)
+            for attrs, score in raw
+            if len(attrs) not in skipped_dims
+        ]
+        scored += [scored[i] for i in repeats if i < len(scored)]
+        scored += [
+            ScoredSubspace(scored[i].subspace, 0.5) for i in repeats if i < len(scored)
+        ]
+        expected = prune_redundant_subspaces_quadratic(scored)
+        kept = prune_redundant_subspaces(scored)
+        assert len(kept) == len(expected)
+        assert all(a is b for a, b in zip(kept, expected))

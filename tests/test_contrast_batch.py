@@ -253,6 +253,102 @@ class TestDegenerateRetryFallback:
         assert len(result.deviations) == 25
 
 
+class TestLevelKernel:
+    """The chunked level kernel against per-subspace and scalar evaluation.
+
+    A whole level goes through one kernel (stacked gather, grouped moments,
+    one p-value call); its contrasts, deviation tuples and degenerate counts
+    must equal those of each subspace evaluated alone.
+    """
+
+    LEVEL = [Subspace(c) for c in combinations(range(7), 5)] + [
+        Subspace(c) for c in combinations(range(7), 6)
+    ]
+    PARAMS = dict(n_iterations=30, min_conditional_size=5, max_retries=1, random_state=11)
+
+    @pytest.fixture(scope="class")
+    def small_wide(self):
+        # Few objects and 5-6 dimensional subspaces: slices often fall below
+        # min_conditional_size, so retry rounds and degenerate iterations fire.
+        rng = np.random.default_rng(23)
+        data = rng.uniform(size=(40, 7))
+        data[:, 1] = data[:, 0] + rng.normal(0.0, 0.05, size=40)
+        return data
+
+    @pytest.fixture(scope="class")
+    def reference(self, small_wide):
+        lone = ContrastEstimator(small_wide, cache=False, **self.PARAMS)
+        scalar = ContrastEstimator(small_wide, cache=False, engine="scalar", **self.PARAMS)
+        results = {s: lone.contrast_detailed(s) for s in self.LEVEL}
+        for subspace in self.LEVEL:
+            assert_identical(results[subspace], scalar.contrast_detailed(subspace))
+        degenerate = [r.n_degenerate for r in results.values()]
+        assert sum(degenerate) > 0
+        assert min(degenerate) < self.PARAMS["n_iterations"]
+        return results
+
+    def level_results(self, data, **overrides):
+        with ContrastEstimator(data, cache=True, **self.PARAMS, **overrides) as estimator:
+            contrasts = estimator.contrast_many(self.LEVEL)
+            # Served from the cache the level call filled.
+            results = {s: estimator.contrast_detailed(s) for s in self.LEVEL}
+            assert estimator.cache.stats()["misses"] == len(self.LEVEL)
+        assert contrasts == {s: r.contrast for s, r in results.items()}
+        return results
+
+    def assert_matches(self, results, reference):
+        for subspace in self.LEVEL:
+            assert_identical(results[subspace], reference[subspace])
+
+    def test_level_matches_lone_and_scalar(self, small_wide, reference):
+        self.assert_matches(self.level_results(small_wide), reference)
+
+    @pytest.mark.parametrize("budget", [1, 700, 4000])
+    def test_level_split_across_chunks(self, small_wide, reference, monkeypatch, budget):
+        import repro.subspaces.contrast as contrast_module
+
+        calls = []
+        original = contrast_module.sample_moments_batch
+
+        def counting(values, counts=None):
+            calls.append(len(counts))
+            return original(values, counts)
+
+        monkeypatch.setattr(contrast_module, "_MAX_SAMPLE_CELLS", budget)
+        monkeypatch.setattr(contrast_module, "sample_moments_batch", counting)
+        self.assert_matches(self.level_results(small_wide), reference)
+        assert len(calls) > 1
+        if budget == 1:
+            assert len(calls) == len(self.LEVEL)
+
+    def test_level_with_row_shards(self, small_wide, reference):
+        self.assert_matches(self.level_results(small_wide, n_shards=3), reference)
+
+    @pytest.mark.parametrize("backend", ["thread(n_jobs=2)", "process(n_jobs=2)"])
+    def test_level_under_parallel_backends(self, small_wide, reference, backend):
+        self.assert_matches(self.level_results(small_wide, backend=backend), reference)
+
+    def test_level_with_pinned_backend_chunksize(self, small_wide, reference):
+        results = self.level_results(small_wide, backend="process(n_jobs=2, chunksize=3)")
+        self.assert_matches(results, reference)
+
+
+class TestScaleInvariance:
+    """Scaling the data by a power of two is exact, so contrast must not move."""
+
+    @pytest.mark.parametrize("k", [-500, -200, 200, 300])
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_welch_contrast_bit_identical_under_power_of_two_scaling(self, k, engine):
+        data = np.random.default_rng(0).normal(size=(300, 4))
+
+        def contrast(values):
+            return ContrastEstimator(
+                values, n_iterations=50, random_state=0, engine=engine, cache=False
+            ).contrast_detailed(Subspace((0, 1)))
+
+        assert_identical(contrast(data * 2.0**k), contrast(data))
+
+
 class TestContrastCache:
     def test_cache_hit_returns_identical_result(self, mixed_data):
         estimator = make_estimator(mixed_data, "batch", cache=True)

@@ -226,3 +226,34 @@ class TestSliceSampler:
         # Generous tolerance: overlaps fluctuate, but the mean must track the
         # analytic expectation within a factor of ~2 in both directions.
         assert expected / 2.5 <= np.mean(sizes) <= expected * 2.5 + 5
+
+
+class TestMaskKernel:
+    """The unsigned-offset mask kernel against the two-compare definition."""
+
+    @staticmethod
+    def reference_masks(index, attrs, start_ranks, block):
+        selected = np.ones((start_ranks.shape[0], index.n_objects), dtype=bool)
+        for j, attribute in enumerate(attrs):
+            ranks = index.rank_column(int(attribute))[None, :]
+            starts = start_ranks[:, j, None]
+            selected &= ((ranks >= starts) & (ranks < starts + block)) | (starts < 0)
+        return selected
+
+    # Around the int16 and int32 limits of the narrowed offset type.
+    @pytest.mark.parametrize("n", [2, 3, 1000, 32767, 32768])
+    def test_masks_match_interval_tests(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, max(2, n // 3), size=(n, 3)).astype(float)  # ties
+        index = SortedDatabaseIndex(values)
+        attrs = np.array([0, 1, 2], dtype=np.intp)
+        block = max(1, n // 2)
+        start_ranks = rng.integers(0, n - block + 1, size=(6, 3))
+        start_ranks[np.arange(6), rng.integers(0, 3, size=6)] = -1
+        start_ranks[0] = [-1, 0, n - block]  # interval edges
+        sampler = SliceSampler(index)
+        masks = sampler.evaluate_masks_range(attrs, start_ranks, block, (0, n))
+        assert np.array_equal(masks, self.reference_masks(index, attrs, start_ranks, block))
+        lo, hi = n // 3, n - n // 4
+        shard = sampler.evaluate_masks_range(attrs, start_ranks, block, (lo, hi))
+        assert np.array_equal(shard, masks[:, lo:hi])

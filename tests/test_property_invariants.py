@@ -122,6 +122,47 @@ class TestWelchBatchProperties:
             assert variances[i] == variance
             assert sizes[i] == n
 
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=600),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        log_scale=st.integers(min_value=-8, max_value=8),
+        presorted=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flat_sample_moments_batch_bit_equal(self, counts, seed, log_scale, presorted):
+        # Up to 600 samples: both the per-sample loop and the grouped
+        # (k, L)-block reduction, on sorted and unsorted lengths.
+        if presorted:
+            counts = sorted(counts)
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=sum(counts)) * 10.0**log_scale + rng.normal()
+        means, variances, sizes = sample_moments_batch(values, np.array(counts))
+        starts = np.cumsum(counts) - np.array(counts)
+        for i, (start, n) in enumerate(zip(starts, counts)):
+            mean, variance, size = sample_moments(values[start : start + n])
+            assert means[i] == mean
+            assert variances[i] == variance
+            assert sizes[i] == size
+
+    @given(
+        var_a=st.floats(min_value=1e-3, max_value=1e3),
+        n_a=st.integers(min_value=1, max_value=500),
+        var_b=st.floats(min_value=1e-3, max_value=1e3),
+        n_b=st.integers(min_value=1, max_value=500),
+        k=st.sampled_from([-1000, -500, -200, -1, 1, 200, 500, 1000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_df_invariant_under_power_of_two_scaling(self, var_a, n_a, var_b, n_b, k):
+        # Variances scale by 4**k when the data scale by 2**k; the squares in
+        # the Welch-Satterthwaite equation must not under- or overflow.
+        scale = 2.0**k
+        expected = welch_satterthwaite_df(var_a, n_a, var_b, n_b)
+        assert welch_satterthwaite_df(var_a * scale, n_a, var_b * scale, n_b) == expected
+        batch = welch_satterthwaite_df_batch(
+            np.array([var_a * scale]), np.array([n_a]), var_b * scale, n_b
+        )
+        assert batch[0] == expected
+
 
 class TestKSBatchProperties:
     @given(sample_a=samples_strategy, sample_b=samples_strategy)
