@@ -87,10 +87,12 @@ logger = logging.getLogger(__name__)
 
 _ENGINES = ("batch", "scalar")
 
-#: Upper bound on the conditional-sample values (summed over the slices of
-#: the subspaces in one chunk) the level kernel gathers and reduces at once;
-#: larger levels are scored chunk by chunk to keep peak memory flat.
-_MAX_SAMPLE_CELLS = 1 << 19
+#: Upper bound on the selection-mask cells (slices times objects, summed
+#: over the subspaces of one chunk) the level kernel stacks at once.  Larger
+#: levels are scored chunk by chunk to keep peak memory flat; the gathered
+#: conditional samples never outnumber the mask cells, so this bounds them
+#: too, also when most slices are degenerate.
+_MAX_CHUNK_CELLS = 1 << 21
 
 
 class ContrastCache:
@@ -723,7 +725,7 @@ class ContrastEstimator:
         Each subspace still draws its own :class:`SliceBatch` from its own
         seeded generator, so the random stream and the retry rounds are those
         of a lone evaluation.  The batches are then scored in chunks of at
-        most about :data:`_MAX_SAMPLE_CELLS` conditional-sample values by
+        most about :data:`_MAX_CHUNK_CELLS` mask cells by
         :meth:`_welch_t_df`, and the p-values of the whole level come from a
         single :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch`
         call.  Every step is element-wise or per sample, so the results are
@@ -738,8 +740,8 @@ class ContrastEstimator:
             n_degenerate = batch.n_degenerate
             shapes.append((batch.n_slices - n_degenerate, n_degenerate))
             chunk.append(batch)
-            cells += int(batch.counts.sum())
-            if cells >= _MAX_SAMPLE_CELLS:
+            cells += batch.selected.size
+            if cells >= _MAX_CHUNK_CELLS:
                 parts.append(self._welch_t_df(chunk))
                 chunk, cells = [], 0
         if chunk:

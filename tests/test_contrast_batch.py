@@ -303,7 +303,7 @@ class TestLevelKernel:
     def test_level_matches_lone_and_scalar(self, small_wide, reference):
         self.assert_matches(self.level_results(small_wide), reference)
 
-    @pytest.mark.parametrize("budget", [1, 700, 4000])
+    @pytest.mark.parametrize("budget", [1, 3000, 20000])
     def test_level_split_across_chunks(self, small_wide, reference, monkeypatch, budget):
         import repro.subspaces.contrast as contrast_module
 
@@ -314,7 +314,7 @@ class TestLevelKernel:
             calls.append(len(counts))
             return original(values, counts)
 
-        monkeypatch.setattr(contrast_module, "_MAX_SAMPLE_CELLS", budget)
+        monkeypatch.setattr(contrast_module, "_MAX_CHUNK_CELLS", budget)
         monkeypatch.setattr(contrast_module, "sample_moments_batch", counting)
         self.assert_matches(self.level_results(small_wide), reference)
         assert len(calls) > 1
